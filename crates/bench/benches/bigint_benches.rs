@@ -15,8 +15,8 @@ fn random_natural(limbs: usize, seed: u64) -> Natural {
 fn ablation_mul_algorithms(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_mul_algorithms");
     group.sample_size(10);
-    // Sizes straddle the Karatsuba (32 limbs), Toom-3 (144), and NTT (2048)
-    // thresholds.
+    // Sizes straddle the Karatsuba (64 limbs), Toom-3 (352) and NTT (1536)
+    // thresholds; 4096 full limbs fill their NTT transform exactly.
     for limbs in [16usize, 64, 256, 1024, 4096] {
         let a = random_natural(limbs, 1);
         let b = random_natural(limbs, 2);

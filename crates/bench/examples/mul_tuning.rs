@@ -4,9 +4,16 @@
 //! question the dispatcher actually answers) on balanced operands at a
 //! ladder of corpus-realistic sizes, and prints the per-size winner.
 //!
+//! The ladder runs to 65,536 limbs, the size of the top-tree products of an
+//! 8,000-modulus 1024-bit corpus. It includes rows one limb past each
+//! power of two (`2^k + 1`), where the NTT's padded transform doubles in
+//! length while the other algorithms' costs do not. Two more columns
+//! report an NTT square (one forward transform) and the product through the
+//! dispatcher itself (`&a * &b`), which picks a tier per size.
+//!
 //! Run with `cargo run --release -p wk-bench --example mul_tuning`.
-//! Single-threaded by construction: the container's one CPU makes
-//! multi-threaded timing attribution meaningless.
+//! Single-threaded by construction, so timings are of one core whatever
+//! the host's CPU count.
 
 use std::time::{Duration, Instant};
 use wk_bigint::{mul_ntt, Natural, KARATSUBA_THRESHOLD, NTT_THRESHOLD, TOOM3_THRESHOLD};
@@ -30,68 +37,91 @@ fn random_natural(limbs: usize, seed: u64) -> Natural {
     Natural::from_limbs(v)
 }
 
-/// Best-of-`reps` timing of `f`, with enough inner iterations at small
-/// sizes to rise above timer noise.
-fn time_best<F: Fn() -> Natural>(f: F, reps: usize, iters: usize) -> Duration {
-    let mut best = Duration::MAX;
+/// A column of the probe: its name, and whether it runs at a given size.
+type Column = (&'static str, fn(usize) -> bool);
+
+/// Schoolbook is quadratic, so probing it far past its useful range just
+/// burns minutes; the NTT only matters from a few hundred limbs.
+const COLUMNS: [Column; 6] = [
+    ("schoolbook", |n| n <= 192),
+    ("karatsuba", |_| true),
+    ("toom3", |n| n >= 16),
+    ("ntt", |n| n >= 128),
+    ("ntt square", |n| n >= 128),
+    ("dispatched", |_| true),
+];
+
+/// Best-of-`reps` timing of every probe that runs, with enough inner
+/// iterations at small sizes to rise above timer noise. The rounds are
+/// interleaved, so a change in the shared host's speed hits every column
+/// of a row alike.
+fn time_best(
+    probes: &[Option<&dyn Fn() -> Natural>],
+    reps: usize,
+    iters: usize,
+) -> Vec<Option<Duration>> {
+    let mut best = vec![Duration::MAX; probes.len()];
     for _ in 0..reps {
-        let start = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(f());
+        for (probe, best) in probes.iter().zip(best.iter_mut()) {
+            if let Some(f) = probe {
+                let start = Instant::now();
+                for _ in 0..iters {
+                    std::hint::black_box(f());
+                }
+                *best = (*best).min(start.elapsed() / iters as u32);
+            }
         }
-        best = best.min(start.elapsed() / iters as u32);
     }
-    best
+    probes.iter().zip(best).map(|(p, t)| p.map(|_| t)).collect()
 }
 
 fn main() {
     println!(
         "current thresholds: karatsuba {KARATSUBA_THRESHOLD}, toom3 {TOOM3_THRESHOLD}, ntt {NTT_THRESHOLD}"
     );
-    println!(
-        "{:>6} {:>12} {:>12} {:>12} {:>12}  winner",
-        "limbs", "schoolbook", "karatsuba", "toom3", "ntt"
-    );
+    print!("{:>6}", "limbs");
+    for (name, _) in COLUMNS {
+        print!(" {name:>12}");
+    }
+    println!("  winner");
     let sizes = [
         8usize, 16, 24, 32, 40, 48, 64, 96, 128, 144, 160, 192, 256, 384, 512, 768, 1024, 1536,
-        2048, 3072, 4096, 6144, 8192, 12288, 16384,
+        2048, 2049, 2560, 3072, 4096, 4097, 5120, 6144, 8192, 8193, 12288, 16384, 16385, 24576,
+        32768, 32769, 49152, 65536,
     ];
     for &n in &sizes {
         let a = random_natural(n, 0xA11CE ^ n as u64);
         let b = random_natural(n, 0xB0B ^ (n as u64) << 8);
         let iters = (2048 / n).max(1);
-        // Schoolbook is quadratic; probing it far past its useful range
-        // just burns minutes.
-        let school = (n <= 192).then(|| time_best(|| a.mul_schoolbook(&b), 3, iters));
-        let kara = time_best(|| a.mul_karatsuba(&b), 3, iters);
-        let toom = (n >= 16).then(|| time_best(|| a.mul_toom3(&b), 3, iters));
-        let ntt = (n >= 128).then(|| time_best(|| mul_ntt(&a, &b), 3, iters));
-
-        let mut results: Vec<(&str, Duration)> = vec![("karatsuba", kara)];
-        if let Some(t) = school {
-            results.push(("schoolbook", t));
-        }
-        if let Some(t) = toom {
-            results.push(("toom3", t));
-        }
-        if let Some(t) = ntt {
-            results.push(("ntt", t));
-        }
-        let winner = results
+        let algorithms: [&dyn Fn() -> Natural; 6] = [
+            &|| a.mul_schoolbook(&b),
+            &|| a.mul_karatsuba(&b),
+            &|| a.mul_toom3(&b),
+            &|| mul_ntt(&a, &b),
+            &|| mul_ntt(&a, &a),
+            &|| &a * &b,
+        ];
+        let probes: Vec<Option<&dyn Fn() -> Natural>> = COLUMNS
             .iter()
-            .min_by_key(|(_, t)| *t)
-            .map(|(name, _)| *name)
-            .unwrap_or("-");
-        let cell = |t: Option<Duration>| match t {
-            Some(t) => format!("{:>10.1}us", t.as_secs_f64() * 1e6),
-            None => format!("{:>12}", "-"),
-        };
-        println!(
-            "{n:>6} {} {} {} {}  {winner}",
-            cell(school),
-            cell(Some(kara)),
-            cell(toom),
-            cell(ntt)
-        );
+            .zip(algorithms)
+            .map(|((_, runs), f)| runs(n).then_some(f))
+            .collect();
+        let times = time_best(&probes, 5, iters);
+        // The winner is the fastest product algorithm; the square and the
+        // dispatcher are reported beside it.
+        let winner = COLUMNS[..4]
+            .iter()
+            .zip(&times)
+            .filter_map(|((name, _), t)| t.map(|t| (*name, t)))
+            .min_by_key(|&(_, t)| t)
+            .map_or("-", |(name, _)| name);
+        print!("{n:>6}");
+        for t in &times {
+            match t {
+                Some(t) => print!(" {:>10.1}us", t.as_secs_f64() * 1e6),
+                None => print!(" {:>12}", "-"),
+            }
+        }
+        println!("  {winner}");
     }
 }

@@ -1,10 +1,14 @@
-//! Multiplication: schoolbook, Karatsuba, and Toom-3 with size-based dispatch.
+//! Multiplication: schoolbook, Karatsuba, Toom-3 and NTT with size-based
+//! dispatch.
 //!
 //! Sub-quadratic multiplication is load-bearing for the reproduction: the
 //! batch-GCD product tree multiplies pairs of multi-megabit integers, and the
 //! quasilinear feasibility argument of the paper (§3.2) assumes
-//! `M(n) = n^(1+o(1))`. Karatsuba gives `n^1.585`, Toom-3 `n^1.465`, which is
-//! sufficient at the scales the simulator and benches run at.
+//! `M(n) = n^(1+o(1))`. Karatsuba gives `n^1.585` and Toom-3 `n^1.465`; the
+//! NTT tier ([`crate::ntt`]) gives `n log n` for the largest products, near
+//! the top of a corpus tree. [`mul_slices_into`] picks the tier by the
+//! smaller operand's size and, for the NTT, by how well the product fills
+//! its padded transform.
 
 use crate::integer::Integer;
 use crate::natural::Natural;
@@ -81,9 +85,11 @@ fn add_slices_into(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
 /// entry points funnel through; a warmed arena runs the schoolbook,
 /// Karatsuba, and unbalanced-block paths without heap allocation. The
 /// Toom-3 and NTT tiers (operands of hundreds to thousands of limbs, a
-/// handful of nodes near a tree root) still build their evaluation
-/// polynomials on the heap: their signed interpolation works over
-/// [`Integer`]s, and at those sizes the multiply dwarfs its allocations.
+/// handful of nodes near a tree root) allocate on the heap: Toom-3 its
+/// evaluation polynomials, whose signed interpolation works over
+/// [`Integer`]s, and the NTT its two transform buffers, freed before it
+/// returns so the arena never holds one. At those sizes the multiply
+/// dwarfs its allocations.
 pub(crate) fn mul_slices_into(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
     let a = trim(a);
     let b = trim(b);
@@ -114,13 +120,10 @@ pub(crate) fn mul_slices_into(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
     if sn < TOOM3_THRESHOLD {
         return karatsuba_into(a, b, out);
     }
-    let an = Natural::from_limb_slice(a);
-    let bn = Natural::from_limb_slice(b);
-    let r = if sn < crate::ntt::NTT_THRESHOLD {
-        toom3(&an, &bn)
-    } else {
-        crate::ntt::mul_ntt(&an, &bn)
-    };
+    if crate::ntt::worth_ntt(small, large) {
+        return crate::ntt::mul_ntt_into(small, large, out);
+    }
+    let r = toom3(&Natural::from_limb_slice(a), &Natural::from_limb_slice(b));
     let old = core::mem::replace(out, r.into_limbs());
     crate::arena::put(old);
 }

@@ -2,7 +2,7 @@
 //! square root, lcm, and cross-algorithm agreement at dispatch boundaries.
 
 use proptest::prelude::*;
-use wk_bigint::Natural;
+use wk_bigint::{Natural, NTT_THRESHOLD};
 
 fn natural(max_limbs: usize) -> impl Strategy<Value = Natural> {
     proptest::collection::vec(any::<u64>(), 0..=max_limbs).prop_map(Natural::from_limbs)
@@ -16,8 +16,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// NTT multiplication agrees with the dispatched algorithms at every
-    /// size (the dispatcher itself only uses NTT above 2048 limbs, so this
-    /// cross-checks the independent code path).
+    /// size (the dispatcher itself only uses NTT from `NTT_THRESHOLD`
+    /// limbs, so this cross-checks the independent code path).
     #[test]
     fn ntt_matches_dispatched(a in natural(80), b in natural(80)) {
         prop_assert_eq!(wk_bigint::mul_ntt(&a, &b), &a * &b);
@@ -59,27 +59,54 @@ proptest! {
     fn ntt_asymmetric(a in natural(4), b in natural(200)) {
         prop_assert_eq!(wk_bigint::mul_ntt(&a, &b), &a * &b);
     }
+}
 
-    /// The dispatched product crosses the NTT threshold consistently:
-    /// build operands just below/above 2048 limbs deterministically from a
-    /// seed and compare against schoolbook on a truncated check — instead,
-    /// verify the ring identity (a+1)*b == a*b + b at large sizes, which
-    /// any dispatch inconsistency would break.
-    #[test]
-    fn large_dispatch_ring_identity(seed in 0u64..32) {
-        let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
-        let limbs: Vec<u64> = (0..2100)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            })
-            .collect();
-        let a = Natural::from_limbs(limbs.clone());
-        let b = Natural::from_limbs(limbs.into_iter().rev().collect());
-        let lhs = &(&a + &Natural::one()) * &b; // NTT path (2100 limbs)
-        let rhs = &(&a * &b) + &b;
-        prop_assert_eq!(lhs, rhs);
+/// Deterministic operand of exactly `len` full limbs (top bit set, so the
+/// digit count and the NTT transform length follow from `len` alone).
+fn pseudo(len: usize, seed: u64) -> Natural {
+    let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+    let mut limbs: Vec<u64> = (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        })
+        .collect();
+    if let Some(top) = limbs.last_mut() {
+        *top |= 1 << 63;
+    }
+    Natural::from_limbs(limbs)
+}
+
+/// The dispatched product agrees with Toom-3 on both sides of the NTT
+/// dispatch. With limbs adding up to a power of two, the product fills its
+/// transform and the smaller operand decides: one limb under
+/// `NTT_THRESHOLD`, at it, and one over. One limb more spills the
+/// coefficients just past the power of two, which hands the product back
+/// to Toom-3 unless the operands are large enough to take the NTT anyway
+/// (the last pair). The ring identity `(a+1)·b == a·b + b` ties each
+/// product to its neighbour.
+#[test]
+fn large_dispatch_ring_identity() {
+    let t = NTT_THRESHOLD;
+    let whole = (2 * t).next_power_of_two();
+    let big = (16 * t).next_power_of_two() / 2;
+    for (la, lb) in [
+        (t - 1, whole - t + 1),
+        (t, whole - t),
+        (t + 1, whole - t - 1),
+        (t, whole - t + 1),
+        (big, big + 1),
+    ] {
+        let a = pseudo(la, la as u64);
+        let b = pseudo(lb, lb as u64 + 7);
+        let product = &a * &b;
+        assert_eq!(product, a.mul_toom3(&b), "la={la} lb={lb}");
+        assert_eq!(
+            &(&a + &Natural::one()) * &b,
+            &product + &b,
+            "la={la} lb={lb}"
+        );
     }
 }
