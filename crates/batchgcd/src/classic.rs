@@ -18,9 +18,13 @@ use wk_bigint::Natural;
 pub struct BatchStats {
     /// Wall-clock time building the product tree.
     pub product_tree_time: Duration,
-    /// Wall-clock time precomputing per-node squares and Barrett
-    /// reciprocals ([`ProductTree::attach_recips`]); zero on pure
-    /// division-path runs.
+    /// Time building Barrett reciprocals: the Newton builds and
+    /// derivations a cofactor descent makes for its nodes of at least
+    /// [`RECIP_MIN_LIMBS`](crate::tree::RECIP_MIN_LIMBS) limbs (a busy total
+    /// across workers), plus any caches attached before a descent and, for
+    /// a cache rebuild, the persisted shard-root reciprocals. It overlaps
+    /// the phase times, so [`total_time`](BatchStats::total_time) leaves it
+    /// out. Zero when every node divided.
     pub recip_build_time: Duration,
     /// Summed in-task time spent inside Barrett reductions during the
     /// remainder descents (a busy total across workers, not wall clock);
@@ -82,10 +86,10 @@ impl Default for BatchStats {
 }
 
 impl BatchStats {
-    /// Total wall-clock time across phases (reciprocal precompute
-    /// included).
+    /// Total wall-clock time across phases; reciprocal builds are inside
+    /// the phases that needed them.
     pub fn total_time(&self) -> Duration {
-        self.product_tree_time + self.recip_build_time + self.remainder_tree_time + self.gcd_time
+        self.product_tree_time + self.remainder_tree_time + self.gcd_time
     }
 
     /// Executor metrics summed over all three phases.
@@ -161,20 +165,14 @@ pub fn batch_gcd(moduli: &[Natural], threads: usize) -> BatchGcdResult {
         // lint:allow(no-panic-in-lib) invariant: nonempty nonzero input checked above
         .expect("validated batch GCD input");
     let product_tree_time = t0.elapsed();
-    // No build-time Barrett caches: the cofactor descent reads each node's
-    // reciprocal exactly twice, and at that reuse count a Newton build
-    // (~2 node-sized multiplies) plus two Barrett steps costs more than
-    // two Burnikel-Ziegler divisions outright. `reduce_plain` falls back
-    // to exact division when no cache is attached, byte-identically.
-    // Reciprocals are attached only where they amortize: the incremental
-    // delta tree (three reductions per node) and the persisted shard set.
-    let recip_build_time = Duration::ZERO;
-    let tree_bytes = tree.total_bytes() + tree.cache_bytes();
+    let tree_bytes = tree.total_bytes();
 
     let t1 = Instant::now();
     // Cofactor descent of V = P (seed (P/root) mod root = 1): the leaves
     // are (P/N) mod N directly, so no trailing exact division is needed.
-    let (remainders, barrett_rem_time) =
+    // Nodes at or above RECIP_MIN_LIMBS reduce by Barrett against
+    // reciprocals the descent derives level by level; smaller ones divide.
+    let (remainders, recip_time) =
         tree.remainder_tree_cofactor_timed(&Natural::one(), pool.exec_in(&remainder_domain));
     let remainder_tree_time = t1.elapsed();
 
@@ -199,8 +197,8 @@ pub fn batch_gcd(moduli: &[Natural], threads: usize) -> BatchGcdResult {
         statuses,
         stats: BatchStats {
             product_tree_time,
-            recip_build_time,
-            barrett_rem_time,
+            recip_build_time: recip_time.build,
+            barrett_rem_time: recip_time.barrett,
             remainder_tree_time,
             gcd_time,
             tree_bytes,

@@ -1073,16 +1073,7 @@ fn assemble_impl(
         // lint:allow(no-panic-in-lib) invariant: shard_count > 0 and every shard product is a product of nonzero moduli
         .expect("shard products are nonempty and nonzero");
     let product_tree_time = pre.start.elapsed();
-    // No reciprocal caches for the top descent: each node's `mu` would be
-    // used exactly twice (the two reductions of its own cofactor step), and
-    // a Newton build costs ~2 node-sized multiplies while Burnikel-Ziegler
-    // division matches a Barrett step almost exactly — so single-use
-    // reciprocals are pure overhead here. Barrett pays only where `mu` is
-    // reused across runs (the persisted shard reciprocals of the
-    // incremental sweep); the rebuild's `recip_build_ns` is exactly that
-    // persisted set, charged by `TreeCache::build`.
-    let recip_build_time = Duration::ZERO;
-    let top_bytes = top.total_bytes() + top.cache_bytes();
+    let top_bytes = top.total_bytes();
     let kept_products = if keep_tree {
         shard_products
     } else {
@@ -1094,9 +1085,16 @@ fn assemble_impl(
 
     // Phase 3: descend P in cofactor form to per-shard seeds
     // (P/R_s) mod R_s — half the width of the squared residues this
-    // handoff used to move — then per-shard leaf work.
+    // handoff used to move — then per-shard leaf work. The top nodes are
+    // where division is dearest: in mul_tuning's division ladder a 2n/n
+    // Burnikel–Ziegler division cost 2-3 same-size multiplies up to 3.5k
+    // limbs and 3-8 from 4k to 64k, a Barrett step about two, and deriving
+    // a child's reciprocal from its parent's about one. So top nodes at or
+    // above RECIP_MIN_LIMBS reduce by Barrett: Newton builds at the
+    // highest level whose residues are full-width, each child's
+    // reciprocal derived from its parent's below it (DESIGN.md §9.5).
     let t1 = Instant::now();
-    let (shard_residues, barrett_rem_time) =
+    let (shard_residues, recip_time) =
         top.remainder_tree_cofactor_timed(&Natural::one(), pool.exec_in(&remainder_domain));
     let kept_top = if keep_tree {
         top.root().clone()
@@ -1214,8 +1212,8 @@ fn assemble_impl(
             statuses,
             stats: BatchStats {
                 product_tree_time,
-                recip_build_time,
-                barrett_rem_time,
+                recip_build_time: recip_time.build,
+                barrett_rem_time: recip_time.barrett,
                 remainder_tree_time,
                 gcd_time: gcd_exec.busy_total(),
                 tree_bytes: top_bytes + max_shard_tree_bytes,

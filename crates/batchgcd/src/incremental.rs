@@ -924,7 +924,7 @@ pub fn incremental_batch_gcd(
     let p_new = t_new.root().clone();
     let delta_recip_time = t_new.attach_cofactor_recips(pool.exec_in(&tree_domain));
     let tree_bytes = t_new.total_bytes() + t_new.cache_bytes();
-    let (rems, barrett_delta) =
+    let (rems, delta_descent) =
         t_new.remainder_tree_cofactor_timed(&Natural::one(), pool.exec_in(&tree_domain));
     let delta_raw: Vec<Option<Natural>> = pool.exec_in(&tree_domain).map(
         delta.iter().zip(rems).collect(),
@@ -1119,7 +1119,7 @@ pub fn incremental_batch_gcd(
     // shards' reciprocals ride forward untouched.
     let recip_start = Instant::now();
     let new_recips = shard_recips_for(&cache.dir, &new_products)?;
-    let recip_build_time = delta_recip_time + recip_start.elapsed();
+    let recip_build_time = delta_recip_time + delta_descent.build + recip_start.elapsed();
     cache.shard_recips.extend(new_recips);
     cache.shard_products.extend(new_products);
     cache.source_crcs.extend(
@@ -1150,7 +1150,7 @@ pub fn incremental_batch_gcd(
         stats: BatchStats {
             product_tree_time: delta_tree_time,
             recip_build_time,
-            barrett_rem_time: barrett_delta + barrett_sweep + barrett_cross,
+            barrett_rem_time: delta_descent.barrett + barrett_sweep + barrett_cross,
             remainder_tree_time: delta_sweep_time + delta_cross_time,
             gcd_time: Duration::ZERO,
             tree_bytes,

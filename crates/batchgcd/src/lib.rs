@@ -84,4 +84,4 @@ pub use naive::{naive_pairwise_gcd, NaiveResult};
 pub use pool::{Exec, ExecDomain, PhaseExec, WorkerPool};
 pub use resolve::{resolve, resolve_with_hits, KeyStatus};
 pub use spill::{decode_natural, encode_natural, scratch_dir, SpilledProductTree};
-pub use tree::{DescentScratch, ProductTree, TreeError};
+pub use tree::{DescentScratch, ProductTree, RecipTime, TreeError, RECIP_MIN_LIMBS};

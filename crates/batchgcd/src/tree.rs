@@ -21,7 +21,7 @@ use wk_bigint::{arena, Natural, Reciprocal};
 /// `F = bit_len(u) + SCALED_GUARD_BITS`. Recovery needs the accumulated
 /// truncation error below `2^SCALED_GUARD_BITS`; the per-level recurrence
 /// `e_child <= 2*e_parent + 1` (sibling multiply plus rescale truncation)
-/// keeps 64 guard bits sound through [`SCALED_MAX_LEVELS`] levels.
+/// keeps 64 guard bits sound through 58 levels (`SCALED_MAX_LEVELS`).
 pub const SCALED_GUARD_BITS: u64 = 64;
 
 /// Deepest scaled descent the guard bits provably cover: after `d` levels
@@ -33,6 +33,44 @@ const SCALED_MAX_LEVELS: usize = 58;
 /// than the plain division it replaces, and recovery at the handover level
 /// amortizes over the whole subtree below it.
 pub const SCALED_CUTOFF_LIMBS: usize = 8;
+
+/// Node size (limbs) from which the cofactor descent divides by
+/// reciprocals instead of Burnikel–Ziegler. A node this large reduces both
+/// of its cofactor steps by Barrett against one reciprocal, which it
+/// derives from its parent's with one multiply
+/// ([`Reciprocal::derive`]) or, with no parent reciprocal above it, builds
+/// by Newton iteration. Below it, two divisions cost about as much as the
+/// derivation plus two Barrett steps, or less. The value is the crossover
+/// of the division ladder in `crates/bench/examples/mul_tuning.rs`
+/// (DESIGN.md §9.5): in two to four runs a row, nodes of 1,000–3,000 limbs cost
+/// 0.90–1.26 times as much by reciprocals as by division, more than 1 in
+/// most runs; from 3,500 limbs on they cost 0.34–0.88 times as much,
+/// except near 5,000 limbs (1.08–1.13), where the products spill into a
+/// 61 %-filled transform and Toom-3 runs both forms.
+pub const RECIP_MIN_LIMBS: usize = 3500;
+
+/// Time a descent spent on reciprocals, summed over the tasks that spent
+/// it: a busy total across workers, not wall clock, and already part of
+/// the descent's wall time.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RecipTime {
+    /// Newton builds and derivations of the reciprocals the descent made
+    /// for itself (attached caches are charged where they were attached).
+    pub build: Duration,
+    /// Barrett reductions.
+    pub barrett: Duration,
+}
+
+/// One cofactor step's output: the node's residue, the reciprocal its
+/// children derive theirs from (if the node reduced through one), and the
+/// step's reciprocal time. The reciprocal is boxed because a level's steps
+/// are collected side by side and the wide levels carry none: an 8-byte
+/// `None` per leaf instead of a 48-byte one.
+struct CofactorStep {
+    residue: Natural,
+    recip: Option<Box<Reciprocal>>,
+    time: RecipTime,
+}
 
 /// Why a product tree could not be built. Both conditions are caller bugs
 /// in an in-memory run, but become reachable data errors once moduli stream
@@ -431,21 +469,35 @@ impl ProductTree {
         (pv % &node.square(), Duration::ZERO)
     }
 
-    /// One plain reduction: `pv mod node`, via comparison, Barrett, or
-    /// division.
+    /// One plain reduction: `pv mod node`, via comparison, Barrett against
+    /// the node's attached cache, or division.
     fn reduce_plain(&self, pv: &Natural, level_idx: usize, i: usize) -> (Natural, Duration) {
+        self.reduce_plain_with(pv, level_idx, i, None)
+    }
+
+    /// [`reduce_plain`](ProductTree::reduce_plain) through `recip` when
+    /// given, else through the node's attached cache, if any.
+    fn reduce_plain_with(
+        &self,
+        pv: &Natural,
+        level_idx: usize,
+        i: usize,
+        recip: Option<&Reciprocal>,
+    ) -> (Natural, Duration) {
         let node = &self.levels[level_idx][i];
         if pv < node {
             return (arena::clone_natural(pv), Duration::ZERO);
         }
-        if let Some(cache) = self
-            .plain_caches
-            .get(level_idx)
-            .and_then(|l| l.get(i))
-            .and_then(Option::as_ref)
-        {
+        let recip = recip.or_else(|| {
+            self.plain_caches
+                .get(level_idx)
+                .and_then(|l| l.get(i))
+                .and_then(Option::as_ref)
+                .map(|cache| &cache.recip)
+        });
+        if let Some(recip) = recip {
             let start = Instant::now();
-            if let Ok(r) = pv.barrett_rem(node, &cache.recip) {
+            if let Ok(r) = pv.barrett_rem(node, recip) {
                 return (r, start.elapsed());
             }
         }
@@ -481,16 +533,7 @@ impl ProductTree {
         let mut barrett = Duration::ZERO;
         for level_idx in (0..top).rev() {
             let width = self.levels[level_idx].len();
-            let mut tasks: Vec<(Natural, usize)> = Vec::with_capacity(width);
-            for i in 0..width {
-                let p = i / 2;
-                let pv = if i % 2 == 0 && i + 1 < width {
-                    arena::clone_natural(&current[p])
-                } else {
-                    core::mem::replace(&mut current[p], Natural::zero())
-                };
-                tasks.push((pv, i));
-            }
+            let tasks = child_tasks(&mut current, width);
             let reduced = exec.map_chunked(tasks, |(pv, i)| {
                 let out = reduce(&pv, level_idx, i);
                 // The consumed parent residue goes back to the arena of the
@@ -697,16 +740,7 @@ impl ProductTree {
         for _ in 0..scaled_levels {
             level_idx -= 1;
             let width = self.levels[level_idx].len();
-            let mut tasks: Vec<(Natural, usize)> = Vec::with_capacity(width);
-            for i in 0..width {
-                let p = i / 2;
-                let xv = if i % 2 == 0 && i + 1 < width {
-                    arena::clone_natural(&current[p])
-                } else {
-                    core::mem::replace(&mut current[p], Natural::zero())
-                };
-                tasks.push((xv, i));
-            }
+            let tasks = child_tasks(&mut current, width);
             current = exec.map_chunked(tasks, |(xv, i)| self.scale_child(xv, level_idx, i));
         }
 
@@ -768,18 +802,84 @@ impl ProductTree {
     /// `r_v = (V/v) mod v` maps to `r_u = (s * (r_v mod u)) mod u`, because
     /// `V/u = (V/v) * s`. A promoted odd node is its own parent, so its
     /// residue passes through unchanged (the comparison in
-    /// [`reduce_plain`](ProductTree::reduce_plain) short-circuits it).
-    fn reduce_cofactor(&self, pv: &Natural, level_idx: usize, i: usize) -> (Natural, Duration) {
-        let (t, d1) = self.reduce_plain(pv, level_idx, i);
+    /// [`reduce_plain`](ProductTree::reduce_plain) short-circuits it), and
+    /// so does the parent's reciprocal.
+    ///
+    /// Both reductions are below `v`, so a node with a reciprocal of
+    /// capacity `limb_len(v)` (see
+    /// [`cofactor_recip`](ProductTree::cofactor_recip)) runs each as one
+    /// Barrett step; the reciprocal is returned for the node's children.
+    fn reduce_cofactor(
+        &self,
+        pv: &Natural,
+        parent: Option<&Reciprocal>,
+        level_idx: usize,
+        i: usize,
+        recip_min_limbs: usize,
+    ) -> CofactorStep {
         let sib = i ^ 1;
-        if sib >= self.levels[level_idx].len() {
-            return (t, d1);
-        }
-        let prod = &self.levels[level_idx][sib] * &t;
+        let Some(s) = self.levels[level_idx].get(sib) else {
+            let (residue, barrett) = self.reduce_plain(pv, level_idx, i);
+            return CofactorStep {
+                residue,
+                recip: parent.map(|p| Box::new(p.clone())),
+                time: RecipTime {
+                    build: Duration::ZERO,
+                    barrett,
+                },
+            };
+        };
+        let (recip, build) = self.cofactor_recip(pv, parent, level_idx, i, recip_min_limbs);
+        let (t, d1) = self.reduce_plain_with(pv, level_idx, i, recip.as_deref());
+        let prod = s * &t;
         arena::recycle(t);
-        let (r, d2) = self.reduce_plain(&prod, level_idx, i);
+        let (residue, d2) = self.reduce_plain_with(&prod, level_idx, i, recip.as_deref());
         arena::recycle(prod);
-        (r, d1 + d2)
+        CofactorStep {
+            residue,
+            recip,
+            time: RecipTime {
+                build,
+                barrett: d1 + d2,
+            },
+        }
+    }
+
+    /// The reciprocal a paired node `(level_idx, i)` reduces its cofactor
+    /// step through, and the time spent making it. Nodes under
+    /// `recip_min_limbs` get none (two divisions are cheaper), and so does
+    /// every node of a tree with attached caches, which already chose per
+    /// node. Otherwise the capacity is `limb_len(parent)`, the bound of
+    /// both reductions, and the reciprocal is derived from the parent's
+    /// when the parent has one — one multiply — or else built by Newton
+    /// iteration. A node with no parent reciprocal whose incoming residue
+    /// `pv` is under half its width skips the Newton build and divides:
+    /// its reductions are nearly free (with the root seed 1, the root's
+    /// children reduce `1` and their sibling), and its children, which do
+    /// reduce full-width residues, build their own at half the size and a
+    /// quarter of the transform memory.
+    fn cofactor_recip(
+        &self,
+        pv: &Natural,
+        parent: Option<&Reciprocal>,
+        level_idx: usize,
+        i: usize,
+        recip_min_limbs: usize,
+    ) -> (Option<Box<Reciprocal>>, Duration) {
+        let u = &self.levels[level_idx][i];
+        if u.limb_len() < recip_min_limbs || self.has_plain_recips() {
+            return (None, Duration::ZERO);
+        }
+        if parent.is_none() && 2 * pv.limb_len() < u.limb_len() {
+            return (None, Duration::ZERO);
+        }
+        let start = Instant::now();
+        let cap = self.levels[level_idx + 1][i / 2].limb_len();
+        let sibling = &self.levels[level_idx][i ^ 1];
+        let recip = parent
+            .and_then(|p| p.derive(u, sibling, cap).ok())
+            .or_else(|| Reciprocal::with_capacity(u, cap).ok());
+        (recip.map(Box::new), start.elapsed())
     }
 
     /// Compute `(V/leaf_i) mod leaf_i` for every leaf, for any `V` the root
@@ -792,27 +892,66 @@ impl ProductTree {
     /// node's square, so each reduction is half the width of the squared
     /// descent's, no per-node squares are ever formed, and the leaf values
     /// are exactly the `(V/N) mod N` the gcd stage consumes — the trailing
-    /// exact division of the squared form disappears. Attach
-    /// [`attach_cofactor_recips`](ProductTree::attach_cofactor_recips) first
-    /// to run every non-trivial reduction as a Barrett step; results are
-    /// byte-identical either way.
+    /// exact division of the squared form disappears. Nodes of at least
+    /// [`RECIP_MIN_LIMBS`] limbs reduce by Barrett against reciprocals the
+    /// descent carries down one level at a time; smaller ones divide, or
+    /// reduce through caches attached by
+    /// [`attach_cofactor_recips`](ProductTree::attach_cofactor_recips).
+    /// Results are byte-identical either way.
     pub fn remainder_tree_cofactor(&self, cofactor_rem: &Natural, exec: Exec<'_>) -> Vec<Natural> {
         self.remainder_tree_cofactor_timed(cofactor_rem, exec).0
     }
 
     /// [`remainder_tree_cofactor`](ProductTree::remainder_tree_cofactor)
-    /// with the summed Barrett-reduction time.
+    /// with the descent's reciprocal build and Barrett times.
     pub fn remainder_tree_cofactor_timed(
         &self,
         cofactor_rem: &Natural,
         exec: Exec<'_>,
-    ) -> (Vec<Natural>, Duration) {
+    ) -> (Vec<Natural>, RecipTime) {
+        self.cofactor_descent(cofactor_rem, exec, RECIP_MIN_LIMBS)
+    }
+
+    /// The pooled cofactor descent with the reciprocal crossover as a
+    /// parameter (tests lower it to reach the reciprocal path on small
+    /// trees). Each level's reciprocals live only until the level below
+    /// has derived its own from them.
+    fn cofactor_descent(
+        &self,
+        cofactor_rem: &Natural,
+        exec: Exec<'_>,
+        recip_min_limbs: usize,
+    ) -> (Vec<Natural>, RecipTime) {
         let top_level = self.levels.len() - 1;
-        let (seed, d0) = self.reduce_plain(cofactor_rem, top_level, 0);
-        let (leaves, below) = self.descend_levels(vec![seed], top_level, exec, &|pv, l, i| {
-            self.reduce_cofactor(pv, l, i)
-        });
-        (leaves, d0 + below)
+        let (seed, barrett) = self.reduce_plain(cofactor_rem, top_level, 0);
+        let mut time = RecipTime {
+            build: Duration::ZERO,
+            barrett,
+        };
+        let mut current = vec![seed];
+        let mut recips: Vec<Option<Box<Reciprocal>>> = vec![None];
+        for level_idx in (0..top_level).rev() {
+            let width = self.levels[level_idx].len();
+            let tasks = child_tasks(&mut current, width);
+            let parents = &recips;
+            let steps = exec.map_chunked(tasks, |(pv, i)| {
+                let parent = parents.get(i / 2).and_then(Option::as_deref);
+                let step = self.reduce_cofactor(&pv, parent, level_idx, i, recip_min_limbs);
+                // The consumed parent residue goes back to the arena of the
+                // worker that just reduced it.
+                arena::recycle(pv);
+                step
+            });
+            current = Vec::with_capacity(width);
+            recips = Vec::with_capacity(width);
+            for step in steps {
+                time.build += step.time.build;
+                time.barrett += step.time.barrett;
+                current.push(step.residue);
+                recips.push(step.recip);
+            }
+        }
+        (current, time)
     }
 
     /// Consume the tree and return every node's limb buffer to the thread
@@ -855,6 +994,19 @@ impl ProductTree {
         scratch: &mut DescentScratch,
         out: &mut Vec<Natural>,
     ) {
+        self.cofactor_local_into(cofactor_rem, scratch, out, RECIP_MIN_LIMBS);
+    }
+
+    /// [`remainder_tree_cofactor_local_into`](ProductTree::remainder_tree_cofactor_local_into)
+    /// with the reciprocal crossover as a parameter, like
+    /// [`cofactor_descent`](ProductTree::cofactor_descent).
+    fn cofactor_local_into(
+        &self,
+        cofactor_rem: &Natural,
+        scratch: &mut DescentScratch,
+        out: &mut Vec<Natural>,
+        recip_min_limbs: usize,
+    ) {
         let top_level = self.levels.len() - 1;
         scratch.reset();
         for dead in out.drain(..) {
@@ -863,17 +1015,29 @@ impl ProductTree {
         scratch
             .cur
             .push(self.reduce_plain(cofactor_rem, top_level, 0).0);
+        scratch.cur_recips.push(None);
         for level_idx in (0..top_level).rev() {
             let width = self.levels[level_idx].len();
             for i in 0..width {
-                let r = self.reduce_cofactor(&scratch.cur[i / 2], level_idx, i).0;
-                scratch.next.push(r);
+                let parent = scratch.cur_recips.get(i / 2).and_then(Option::as_deref);
+                let step = self.reduce_cofactor(
+                    &scratch.cur[i / 2],
+                    parent,
+                    level_idx,
+                    i,
+                    recip_min_limbs,
+                );
+                scratch.next.push(step.residue);
+                scratch.next_recips.push(step.recip);
             }
             for dead in scratch.cur.drain(..) {
                 arena::recycle(dead);
             }
+            scratch.cur_recips.clear();
             core::mem::swap(&mut scratch.cur, &mut scratch.next);
+            core::mem::swap(&mut scratch.cur_recips, &mut scratch.next_recips);
         }
+        scratch.cur_recips.clear();
         out.append(&mut scratch.cur);
     }
 }
@@ -888,10 +1052,14 @@ impl ProductTree {
 pub struct DescentScratch {
     cur: Vec<Natural>,
     next: Vec<Natural>,
+    /// The reciprocals of `cur`'s and `next`'s nodes, for nodes at or above
+    /// [`RECIP_MIN_LIMBS`]; `None` elsewhere.
+    cur_recips: Vec<Option<Box<Reciprocal>>>,
+    next_recips: Vec<Option<Box<Reciprocal>>>,
 }
 
 impl DescentScratch {
-    /// Recycle any held residues and empty both buffers, keeping capacity.
+    /// Recycle any held residues and empty all buffers, keeping capacity.
     fn reset(&mut self) {
         for dead in self.cur.drain(..) {
             arena::recycle(dead);
@@ -899,7 +1067,26 @@ impl DescentScratch {
         for dead in self.next.drain(..) {
             arena::recycle(dead);
         }
+        self.cur_recips.clear();
+        self.next_recips.clear();
     }
+}
+
+/// One task per child node of the next level down, `width` of them:
+/// `(parent value, child index)`. A parent's buffer moves into its last
+/// child's task and only first children of pairs clone it.
+fn child_tasks(current: &mut [Natural], width: usize) -> Vec<(Natural, usize)> {
+    let mut tasks = Vec::with_capacity(width);
+    for i in 0..width {
+        let p = i / 2;
+        let pv = if i % 2 == 0 && i + 1 < width {
+            arena::clone_natural(&current[p])
+        } else {
+            core::mem::replace(&mut current[p], Natural::zero())
+        };
+        tasks.push((pv, i));
+    }
+    tasks
 }
 
 /// Pair up adjacent nodes of one level: `[a, b, c]` becomes
@@ -1047,6 +1234,70 @@ mod tests {
                 let (cof, rem) = v.div_rem(m);
                 assert!(rem.is_zero());
                 assert_eq!(r, &(&cof % m));
+            }
+        }
+    }
+
+    /// Moduli of 1 to `max_limbs` limbs (ragged trees, so some
+    /// derivations fall back to Newton and odd nodes get promoted).
+    fn wide_moduli(count: usize, max_limbs: usize, seed: u64) -> Vec<Natural> {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        (0..count)
+            .map(|_| {
+                let len = 1 + (next() as usize) % max_limbs;
+                let mut n = Natural::from_limbs((0..len).map(|_| next()).collect());
+                n.set_bit(0, true);
+                n
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reciprocal_descent_matches_division() {
+        // The crossover lowered to reach the reciprocal path on small
+        // trees: Newton builds at the first level at or above it,
+        // derivations below, promoted nodes passing theirs through. Leaves
+        // must match the all-division descent byte for byte, pooled and
+        // local, for the root seed and a foreign one.
+        let pool = WorkerPool::new(3);
+        for (count, max_limbs, seed) in [
+            (2usize, 3usize, 1u64),
+            (3, 4, 2),
+            (5, 2, 3),
+            (13, 6, 4),
+            (16, 3, 5),
+            (31, 5, 6),
+        ] {
+            let moduli = wide_moduli(count, max_limbs, seed);
+            let tree = ProductTree::build(&moduli, seq().exec()).unwrap();
+            let root = tree.root().clone();
+            for seed_value in [Natural::one(), &nat(7) % &root] {
+                let (divided, t) = tree.cofactor_descent(&seed_value, seq().exec(), usize::MAX);
+                assert_eq!(t, RecipTime::default());
+                let v = &root * &seed_value;
+                for (m, r) in moduli.iter().zip(&divided) {
+                    assert_eq!(r, &(&v / m).div_rem(m).1);
+                }
+                for min in [1usize, 2, 4, 9] {
+                    let (got, time) = tree.cofactor_descent(&seed_value, pool.exec(), min);
+                    assert_eq!(got, divided, "count={count} min={min}");
+                    // With every node above the crossover, all levels
+                    // below the root's children (whose seed-1 residues are
+                    // narrow) build or derive reciprocals.
+                    if min == 1 && tree.levels.len() > 2 {
+                        assert!(time.build > Duration::ZERO, "count={count}");
+                    }
+                    let mut scratch = DescentScratch::default();
+                    let mut local = Vec::new();
+                    tree.cofactor_local_into(&seed_value, &mut scratch, &mut local, min);
+                    assert_eq!(local, divided, "local count={count} min={min}");
+                }
             }
         }
     }

@@ -9,7 +9,10 @@
 //! relate to the squared leaves by exactly `leaf_sq = r_N * N`.
 
 use proptest::prelude::*;
-use wk_batchgcd::{batch_gcd, scratch_dir, sharded_batch_gcd, ProductTree, ShardStore, WorkerPool};
+use wk_batchgcd::{
+    assemble_from_shard_roots, batch_gcd, scratch_dir, shard_subtree_root, sharded_batch_gcd,
+    ProductTree, ShardStore, WorkerPool, RECIP_MIN_LIMBS,
+};
 use wk_bigint::Natural;
 use wk_keygen::{KeygenBehavior, ModelKeygen, PrimeShaping};
 
@@ -126,6 +129,134 @@ fn cofactor_leaves_factor_the_squared_leaves() {
     for ((n, r), zn) in moduli.iter().zip(&cofactor).zip(&squared) {
         assert_eq!(&(n * r), zn, "leaf_sq != r_N * N for modulus {n:?}");
         assert!(r < n, "cofactor leaf not fully reduced");
+    }
+}
+
+/// Deterministic Miller-Rabin for `u64` (the first twelve prime bases
+/// decide every 64-bit input).
+fn is_prime_u64(n: u64) -> bool {
+    const BASES: [u64; 12] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37];
+    if n < 2 {
+        return false;
+    }
+    for p in BASES {
+        if n.is_multiple_of(p) {
+            return n == p;
+        }
+    }
+    let mul = |a: u64, b: u64| ((a as u128 * b as u128) % n as u128) as u64;
+    let (mut d, mut s) = (n - 1, 0);
+    while d % 2 == 0 {
+        d /= 2;
+        s += 1;
+    }
+    'bases: for a in BASES {
+        let (mut x, mut e, mut base) = (1u64, d, a);
+        while e > 0 {
+            if e & 1 == 1 {
+                x = mul(x, base);
+            }
+            base = mul(base, base);
+            e >>= 1;
+        }
+        if x == 1 || x == n - 1 {
+            continue;
+        }
+        for _ in 1..s {
+            x = mul(x, x);
+            if x == n - 1 {
+                continue 'bases;
+            }
+        }
+        return false;
+    }
+    true
+}
+
+/// `count` 128-bit moduli, products of two 64-bit primes, every eighth
+/// over a six-prime shared pool. Plain 64-bit primality keeps the
+/// generation fast at this count.
+fn wide_population(count: usize, seed: u64) -> Vec<Natural> {
+    let mut state = seed | 1;
+    let mut prime = move || loop {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let candidate = state | (1 << 63) | 1;
+        if is_prime_u64(candidate) {
+            return Natural::from(candidate);
+        }
+    };
+    let pool: Vec<Natural> = (0..6).map(|_| prime()).collect();
+    (0..count)
+        .map(|i| {
+            let p = if i % 8 == 3 {
+                pool[(i / 8) % pool.len()].clone()
+            } else {
+                prime()
+            };
+            &p * &prime()
+        })
+        .collect()
+}
+
+#[test]
+fn reciprocal_nodes_above_the_crossover_match_division() {
+    // 16,384 two-limb moduli make a 32,768-limb root, so three top levels
+    // are at or above RECIP_MIN_LIMBS: the root's children (seed-1
+    // residues, which divide), their children (Newton-built reciprocals)
+    // and one level below (derived reciprocals). In shards of 512 the top
+    // tree has the same upper levels, and every shard tree stays below the
+    // crossover. Classic, sharded and shard-root assembly must agree byte
+    // for byte, and the cofactor leaves must be exactly (P/N) mod N.
+    let moduli = wide_population(16_384, 4096);
+    let pool = WorkerPool::new(2);
+    let tree = ProductTree::build(&moduli, pool.exec()).unwrap();
+    let widths: Vec<usize> = (0..4).map(|k| tree.root().limb_len() >> k).collect();
+    assert!(
+        widths[3] >= RECIP_MIN_LIMBS,
+        "top levels {widths:?} must reach the crossover"
+    );
+    const { assert!(512 * 2 < RECIP_MIN_LIMBS, "shard trees stay below it") };
+
+    let (leaves, recip_time) = tree.remainder_tree_cofactor_timed(&Natural::one(), pool.exec());
+    assert!(recip_time.build > std::time::Duration::ZERO);
+    assert!(recip_time.barrett > std::time::Duration::ZERO);
+    assert_eq!(leaves, tree.remainder_tree_cofactor_local(&Natural::one()));
+    // Direct: (P/N) mod N = (P mod N^2) / N, with P mod N^2 reached
+    // through P mod S^2 for the 512-key chunk product S that N divides.
+    for (chunk, chunk_leaves) in moduli.chunks(512).zip(leaves.chunks(512)) {
+        let s = chunk.iter().fold(Natural::one(), |acc, n| &acc * n);
+        let p_mod_s2 = tree.root().div_rem(&s.square()).1;
+        for (n, r) in chunk.iter().zip(chunk_leaves) {
+            let (cofactor, rem) = p_mod_s2.div_rem(&n.square()).1.div_rem(n);
+            assert!(rem.is_zero());
+            assert_eq!(r, &cofactor, "leaf of {n:?}");
+        }
+    }
+
+    let classic = batch_gcd(&moduli, 2);
+    assert!(
+        classic.vulnerable_count() >= 8,
+        "population must be interesting"
+    );
+    assert!(classic.stats.recip_build_time > std::time::Duration::ZERO);
+    let one_thread = batch_gcd(&moduli, 1);
+    assert_eq!(one_thread.raw_divisors, classic.raw_divisors);
+    assert_eq!(one_thread.statuses, classic.statuses);
+
+    let dir = scratch_dir("descent-equiv-above-crossover");
+    let store = ShardStore::create(&dir, 512, &moduli).unwrap();
+    let sharded = sharded_batch_gcd(&store, 2).unwrap();
+    assert!(sharded.stats.recip_build_time > std::time::Duration::ZERO);
+    let roots: Vec<Natural> = (0..store.shard_count() as u32)
+        .map(|i| shard_subtree_root(&store, i).unwrap())
+        .collect();
+    let assembled = assemble_from_shard_roots(&store, roots, 2).unwrap().result;
+    store.remove().unwrap();
+    for run in [&sharded, &assembled] {
+        assert_eq!(run.raw_divisors, classic.raw_divisors);
+        assert_eq!(run.statuses, classic.statuses);
     }
 }
 

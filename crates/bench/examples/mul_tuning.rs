@@ -11,12 +11,24 @@
 //! report an NTT square (one forward transform) and the product through the
 //! dispatcher itself (`&a * &b`), which picks a tier per size.
 //!
+//! A second table, the division ladder, times one cofactor-descent node
+//! both ways at 1k–64k limbs: a node `u` of `n` limbs under a parent
+//! `v = u * s` of `2n` reduces two values below `v` modulo `u`, either by
+//! Burnikel–Ziegler `div_rem` or by `barrett_rem` against a reciprocal,
+//! which the node Newton-builds or derives from its parent's
+//! (`Reciprocal::derive`, one multiply). The `RECIP_MIN_LIMBS` crossover of
+//! the descent is read from this table (DESIGN.md §9.5).
+//!
 //! Run with `cargo run --release -p wk-bench --example mul_tuning`.
 //! Single-threaded by construction, so timings are of one core whatever
 //! the host's CPU count.
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
-use wk_bigint::{mul_ntt, Natural, KARATSUBA_THRESHOLD, NTT_THRESHOLD, TOOM3_THRESHOLD};
+use wk_batchgcd::RECIP_MIN_LIMBS;
+use wk_bigint::{
+    mul_ntt, Natural, Reciprocal, KARATSUBA_THRESHOLD, NTT_THRESHOLD, TOOM3_THRESHOLD,
+};
 
 /// Deterministic limb filler (splitmix64): tuning must not depend on RNG
 /// state or the run's wall clock.
@@ -55,18 +67,14 @@ const COLUMNS: [Column; 6] = [
 /// iterations at small sizes to rise above timer noise. The rounds are
 /// interleaved, so a change in the shared host's speed hits every column
 /// of a row alike.
-fn time_best(
-    probes: &[Option<&dyn Fn() -> Natural>],
-    reps: usize,
-    iters: usize,
-) -> Vec<Option<Duration>> {
+fn time_best(probes: &[Option<&dyn Fn()>], reps: usize, iters: usize) -> Vec<Option<Duration>> {
     let mut best = vec![Duration::MAX; probes.len()];
     for _ in 0..reps {
         for (probe, best) in probes.iter().zip(best.iter_mut()) {
             if let Some(f) = probe {
                 let start = Instant::now();
                 for _ in 0..iters {
-                    std::hint::black_box(f());
+                    f();
                 }
                 *best = (*best).min(start.elapsed() / iters as u32);
             }
@@ -93,15 +101,15 @@ fn main() {
         let a = random_natural(n, 0xA11CE ^ n as u64);
         let b = random_natural(n, 0xB0B ^ (n as u64) << 8);
         let iters = (2048 / n).max(1);
-        let algorithms: [&dyn Fn() -> Natural; 6] = [
-            &|| a.mul_schoolbook(&b),
-            &|| a.mul_karatsuba(&b),
-            &|| a.mul_toom3(&b),
-            &|| mul_ntt(&a, &b),
-            &|| mul_ntt(&a, &a),
-            &|| &a * &b,
+        let algorithms: [&dyn Fn(); 6] = [
+            &|| drop(black_box(a.mul_schoolbook(&b))),
+            &|| drop(black_box(a.mul_karatsuba(&b))),
+            &|| drop(black_box(a.mul_toom3(&b))),
+            &|| drop(black_box(mul_ntt(&a, &b))),
+            &|| drop(black_box(mul_ntt(&a, &a))),
+            &|| drop(black_box(&a * &b)),
         ];
-        let probes: Vec<Option<&dyn Fn() -> Natural>> = COLUMNS
+        let probes: Vec<Option<&dyn Fn()>> = COLUMNS
             .iter()
             .zip(algorithms)
             .map(|((_, runs), f)| runs(n).then_some(f))
@@ -123,5 +131,71 @@ fn main() {
             }
         }
         println!("  {winner}");
+    }
+    division_ladder();
+}
+
+/// The division ladder: per row, a multiply for scale, the two ways of
+/// dividing, the two ways of making a reciprocal, and the node totals —
+/// `2 div_rem` against `derived + 2 barrett` (the multiply by the sibling
+/// both forms share is left out). The last column is their ratio; the
+/// descent divides by reciprocals from the first row where it stays
+/// below 1 (`RECIP_MIN_LIMBS`).
+fn division_ladder() {
+    println!();
+    println!("division ladder (node u of n limbs, dividends below v = u*s of 2n limbs); RECIP_MIN_LIMBS {RECIP_MIN_LIMBS}");
+    let names = ["mul n*n", "div_rem 2n/n", "newton", "derived", "barrett"];
+    print!("{:>6}", "limbs");
+    for name in names {
+        print!(" {name:>13}");
+    }
+    println!(
+        " {:>13} {:>13} {:>7}",
+        "node: 2 div", "node: recip", "ratio"
+    );
+    // Multiples of 1,000 limbs are the node sizes of 250-modulus shards
+    // of 1024-bit keys; the powers of two are those of classic trees over
+    // 2^k keys, where the Barrett operands sit one limb past a transform.
+    for n in [
+        1000usize, 1500, 2000, 2500, 3000, 3500, 4000, 4096, 5000, 6000, 8000, 8192, 12000, 16000,
+        16384, 32000, 32768, 64000, 65536,
+    ] {
+        let u = random_natural(n, 0xD1 ^ n as u64);
+        let s = random_natural(n, 0x51B ^ n as u64);
+        let v = &u * &s;
+        let uncle = random_natural(2 * n, 0x0C1E ^ n as u64);
+        let cap = v.limb_len();
+        // The parent's own reciprocal, at its capacity under a grandparent
+        // v * uncle, is set-up: in a descent the level above made it.
+        let parent = Reciprocal::with_capacity(&v, (&v * &uncle).limb_len()).unwrap();
+        let recip = parent.derive(&u, &s, cap).unwrap();
+        let x = &random_natural(2 * n, 0xE ^ n as u64) % &v;
+        assert_eq!(x.barrett_rem(&u, &recip).unwrap(), x.div_rem(&u).1);
+        let probes: [&dyn Fn(); 5] = [
+            &|| drop(black_box(&u * &s)),
+            &|| drop(black_box(x.div_rem(&u))),
+            &|| drop(black_box(Reciprocal::with_capacity(&u, cap))),
+            &|| drop(black_box(parent.derive(&u, &s, cap))),
+            &|| drop(black_box(x.barrett_rem(&u, &recip))),
+        ];
+        let probes: Vec<Option<&dyn Fn()>> = probes.into_iter().map(Some).collect();
+        let times: Vec<Duration> = time_best(&probes, 5, (16384 / n).max(1))
+            .into_iter()
+            .map(|t| t.unwrap_or_default())
+            .collect();
+        let us = |t: Duration| t.as_secs_f64() * 1e6;
+        let (div, derived, barrett) = (times[1], times[3], times[4]);
+        let node_div = 2 * div;
+        let node_recip = derived + 2 * barrett;
+        print!("{n:>6}");
+        for &t in &times {
+            print!(" {:>11.0}us", us(t));
+        }
+        println!(
+            " {:>11.0}us {:>11.0}us {:>7.2}",
+            us(node_div),
+            us(node_recip),
+            node_recip.as_secs_f64() / node_div.as_secs_f64()
+        );
     }
 }

@@ -52,6 +52,24 @@ pub(crate) fn schoolbook_into(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
     }
 }
 
+/// `a * b` as `a_lo * b_lo` through the NTT plus the cross products of the
+/// spilled high limbs, `a_hi * b` and `a_lo * b_hi`, for the split
+/// [`peel_split`](crate::ntt::peel_split) chose (`na`, `nb` low limbs).
+fn mul_peeled_into(a: &[u64], b: &[u64], na: usize, nb: usize, out: &mut Vec<u64>) {
+    let (a_lo, a_hi) = a.split_at(na);
+    let (b_lo, b_hi) = b.split_at(nb);
+    crate::ntt::mul_ntt_into(trim(a_lo), trim(b_lo), out);
+    out.resize(a.len() + b.len(), 0);
+    let mut part = crate::arena::take(a.len() + b_hi.len());
+    if !b_hi.is_empty() {
+        mul_slices_into(b_hi, a_lo, &mut part);
+        add_at(out, nb, trim(&part));
+    }
+    mul_slices_into(a_hi, b, &mut part);
+    add_at(out, na, trim(&part));
+    crate::arena::put(part);
+}
+
 /// Strip high zero limbs from a slice view.
 #[inline]
 pub(crate) fn trim(a: &[u64]) -> &[u64] {
@@ -119,6 +137,9 @@ pub(crate) fn mul_slices_into(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
     }
     if sn < TOOM3_THRESHOLD {
         return karatsuba_into(a, b, out);
+    }
+    if let Some((ns, nl)) = crate::ntt::peel_split(small, large) {
+        return mul_peeled_into(small, large, ns, nl, out);
     }
     if crate::ntt::worth_ntt(small, large) {
         return crate::ntt::mul_ntt_into(small, large, out);

@@ -296,6 +296,28 @@ pub(crate) fn worth_ntt(a: &[u64], b: &[u64]) -> bool {
     small as f64 * fill.powi(3) >= NTT_THRESHOLD as f64
 }
 
+/// Low-part lengths `(na, nb)` for a product that spills just past a
+/// transform boundary: when the coefficients of `a * b` overflow the next
+/// smaller power of two by at most 1/64 of it, the low `na` and `nb` limbs
+/// fill that smaller transform and the few spilled limbs multiply out as
+/// thin cross products, instead of the whole product paying for a
+/// transform twice as long (rows `2^k + 1` of the `mul_tuning` table).
+/// `None` when the product is not such a spill or the low parts are too
+/// small for the NTT. Equal-length operands split equally, so a square
+/// stays a square.
+pub(crate) fn peel_split(a: &[u64], b: &[u64]) -> Option<(usize, usize)> {
+    let fit = coefficient_len(a, b).next_power_of_two() / 8;
+    let excess = (a.len() + b.len()).checked_sub(fit)?;
+    if excess == 0 || excess > fit / 64 {
+        return None;
+    }
+    let each = excess.div_ceil(2);
+    let na = a.len().checked_sub(each)?;
+    let nb = b.len().checked_sub(each)?;
+    let (lo_a, lo_b) = (crate::mul::trim(&a[..na]), crate::mul::trim(&b[..nb]));
+    (!lo_a.is_empty() && !lo_b.is_empty() && worth_ntt(lo_a, lo_b)).then_some((na, nb))
+}
+
 /// A transform buffer of length `n` holding the 16-bit digits of `limbs`,
 /// each multiplied by `scale`, zero-padded.
 fn spread(limbs: &[u64], n: usize, scale: u64) -> Vec<u64> {
@@ -558,6 +580,39 @@ mod tests {
             assert_eq!(mul_ntt(&x, &s), x.mul_toom3(&s), "n={n}");
             assert_eq!(mul_ntt(&s, &x), x.mul_toom3(&s), "n={n}");
         }
+    }
+
+    #[test]
+    fn peeled_products_match_toom3() {
+        // Operands a few limbs past a power-of-two transform: the dispatcher
+        // multiplies the low parts through the smaller transform and adds
+        // the spilled limbs' cross products. Squares keep one slice.
+        let t = NTT_THRESHOLD.next_power_of_two();
+        for (la, lb, seed) in [
+            (t + 1, t + 1, 1u64),
+            (t, t + 2, 2),
+            (2 * t + 3, 2 * t - 1, 3),
+            (4 * t + 1, 4 * t + 1, 4),
+            (t + 5, 2 * t + 9, 5),
+        ] {
+            let a = pseudo(la, seed);
+            let b = pseudo(lb, seed ^ 0x77);
+            let ones = Natural::from_limbs(vec![u64::MAX; la]);
+            assert!(
+                peel_split(a.limbs(), b.limbs()).is_some() || la + 8 < lb,
+                "{la}x{lb}"
+            );
+            assert_eq!(&a * &b, a.mul_toom3(&b), "{la}x{lb}");
+            assert_eq!(&a * &a, a.mul_toom3(&a), "{la} square");
+            assert_eq!(&ones * &ones, ones.mul_toom3(&ones), "{la} all-ones square");
+            assert_eq!(&ones * &b, ones.mul_toom3(&b), "{la}x{lb} all-ones");
+        }
+        // Products that fill their transform, or spill too far, are not
+        // peeled.
+        let a = pseudo(t, 9);
+        assert_eq!(peel_split(a.limbs(), a.limbs()), None);
+        let b = pseudo(t + t / 16, 10);
+        assert_eq!(peel_split(b.limbs(), b.limbs()), None);
     }
 
     #[test]

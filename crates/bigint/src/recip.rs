@@ -45,9 +45,39 @@
 //! bounded by [`MAX_BARRETT_CORRECTIONS`]; exceeding it (impossible for a
 //! reciprocal built here, conceivable only for a damaged persisted one)
 //! falls back to one exact division, so the result is the true remainder
-//! unconditionally. Larger values are folded in `(cap - m)`-limb chunks
-//! from the top, each step staying under the capacity — the division-free
-//! analog of short division.
+//! unconditionally. The step also checks that the limbs above the low
+//! `m + 1` cancel, so any `mu` at all, even an over-estimate, yields the
+//! true remainder or the division fallback, never a wrong value. Larger
+//! values are folded in `(cap - m)`-limb chunks from the top, each step
+//! staying under the capacity — the division-free analog of short
+//! division.
+//!
+//! # Derived reciprocals
+//!
+//! A remainder tree already holds each node's reciprocal inside its
+//! parent's: for `v = u * s`, `1/u = s/v`, so
+//! [`Reciprocal::derive`] reads `mu_u = floor(s * mu_v / beta^d)`,
+//! `d = cap_v - cap_u`, off the parent's `mu_v` with one multiply
+//! (Bernstein, *Scaled remainder trees*). With
+//! `mu_v = floor(beta^cap_v / v) - delta`, `0 <= delta <= MU_MAX_SLACK_ULPS`,
+//! and only the limbs of `mu_v` above the low `j` read (which lowers it by
+//! less than `beta^j`):
+//!
+//! * upper: `s * mu_v <= s * beta^cap_v / v = beta^cap_v / u`, so `mu_u`
+//!   never exceeds `floor(beta^cap_u / u)` — one-sided, as the step needs;
+//! * lower: the product falls short of `beta^cap_v / u` by less than
+//!   `s * (delta + beta^j) <= s * (1 + MU_MAX_SLACK_ULPS) * beta^j`, which
+//!   is at most `beta^d` while `bit_len(s) + 5 + 64 j <= 64 d`. Then the
+//!   quotient exceeds `beta^cap_u / u - 1` and its floor is at most one
+//!   ulp below exact.
+//!
+//! So a derived `mu` carries at most one ulp of slack whatever its parent
+//! carried, and derivations chain without the error growing. `j` is the
+//! largest value the inequality allows, which leaves about
+//! `limb_len(s) + 2` limbs of `mu_v` to multiply by `s`: one
+//! sibling-sized product, against the two to three node-sized ones of a
+//! Newton build. A sibling too wide for the inequality (`d` at most its
+//! width, as under a short uncle) takes the Newton path instead.
 
 use crate::natural::Natural;
 use std::fmt;
@@ -71,6 +101,11 @@ const NEWTON_GUARD_BITS: u64 = 32;
 /// Barrett correction loop, which is far cheaper than the full `mu * n`
 /// product an exactness pass would need.
 const MU_MAX_SLACK_ULPS: u32 = 16;
+
+/// Bits of `1 + MU_MAX_SLACK_ULPS`, rounded up: a parent reciprocal's
+/// worst-case error, `sibling * (1 + slack)`, stays below
+/// `2^(bit_len(sibling) + DERIVE_SLACK_BITS)` (see [`derive_mu`]).
+const DERIVE_SLACK_BITS: u64 = (MU_MAX_SLACK_ULPS + 1).next_power_of_two().trailing_zeros() as u64;
 
 /// Upper bound on Barrett correction subtractions: the two the exact-`mu`
 /// analysis allows plus one per ulp of reciprocal slack. Exceeding it is
@@ -158,6 +193,29 @@ fn high_limb_slice(a: &[u64], k: usize) -> &[u64] {
     } else {
         &a[k..]
     }
+}
+
+/// `out = x mod n` by exact division: the fallback of a Barrett step whose
+/// reciprocal broke the correction bound.
+fn exact_rem_into(x: &[u64], n: &Natural, out: &mut Vec<u64>) {
+    let r = Natural::from_limb_slice(x).div_rem(n).1;
+    let old = core::mem::replace(out, r.into_limbs());
+    crate::arena::put(old);
+}
+
+/// `a == b + 1` over little-endian limb slices; either may carry high zero
+/// limbs.
+fn is_successor(a: &[u64], b: &[u64]) -> bool {
+    let mut carry = 1u64;
+    for i in 0..a.len().max(b.len()) {
+        let ai = a.get(i).copied().unwrap_or(0);
+        let (sum, over) = b.get(i).copied().unwrap_or(0).overflowing_add(carry);
+        if sum != ai {
+            return false;
+        }
+        carry = u64::from(over);
+    }
+    carry == 0
 }
 
 /// `floor(beta^cap / n)`, possibly under-estimated by at most
@@ -269,6 +327,26 @@ fn invert_newton(n: &Natural, cap: usize) -> Natural {
     z
 }
 
+/// `floor(s * mu_v / beta^d)` with `d = cap_v - cap_u`, reading only the
+/// limbs of `mu_v` above the low `j`: the derivation of the module docs,
+/// where `bit_len(s) + DERIVE_SLACK_BITS + 64 j <= 64 d` bounds the error
+/// to one ulp. `None` when no `j >= 0` satisfies it (or `cap_u > cap_v`).
+fn derive_mu(mu_v: &Natural, cap_v: usize, s: &Natural, cap_u: usize) -> Option<Natural> {
+    let d = cap_v.checked_sub(cap_u)?;
+    let room = 64 * d as u64;
+    let need = s.bit_len() + DERIVE_SLACK_BITS;
+    if need > room {
+        return None;
+    }
+    let j = ((room - need) / 64) as usize;
+    let top = high_limb_slice(mu_v.limbs(), j);
+    let mut t = crate::arena::take(top.len() + s.limb_len());
+    crate::mul::mul_slices_into(top, s.limbs(), &mut t);
+    let mu = Natural::from_limb_slice(high_limb_slice(&t, d - j));
+    crate::arena::put(t);
+    Some(mu)
+}
+
 impl Reciprocal {
     /// Reciprocal with the default capacity `2m` (the classic HAC 14.42
     /// shape): one Barrett step reduces any `x < beta^(2m)`, larger values
@@ -299,6 +377,78 @@ impl Reciprocal {
             m,
             cap,
             n_bits: n.bit_len(),
+        })
+    }
+
+    /// Reciprocal of `u`, sized for dividends below `beta^cap_limbs`,
+    /// derived from `self`, a reciprocal of the product `v = u * sibling`,
+    /// by one truncated multiply (`1/u = sibling/v`; the bound is in the
+    /// module docs). The result is one-sided and at most one ulp below
+    /// `floor(beta^cap / u)`, whatever slack (up to `MU_MAX_SLACK_ULPS`,
+    /// 16) the parent carried, so derivations chain down a tree without
+    /// their error growing. It costs about one
+    /// `limb_len(sibling)`-square multiply against the two to three
+    /// node-sized ones of a Newton build.
+    ///
+    /// The bound needs the parent's capacity to exceed `cap_limbs` by more
+    /// than the sibling's width; otherwise (a short sibling under a parent
+    /// sized barely above `cap_limbs`) this falls back to
+    /// [`with_capacity`](Reciprocal::with_capacity). The capacity is
+    /// clamped to at least `limb_len(u) + 1`, as there.
+    ///
+    /// `self` is trusted the way a persisted reciprocal is: a damaged
+    /// parent whose derivation lands outside `mu`'s magnitude window is a
+    /// typed error, and one that lands inside it still reduces exactly,
+    /// because the Barrett step falls back to division whenever the
+    /// reciprocal breaks its bound.
+    ///
+    /// # Errors
+    /// [`RecipError::ZeroModulus`] if `u` or `sibling` is zero;
+    /// [`RecipError::ModulusMismatch`] if `self` was built for a modulus
+    /// whose bit length `u * sibling` cannot have;
+    /// [`RecipError::MalformedParts`] if the derived `mu` falls outside the
+    /// magnitude window of a reciprocal of `u`.
+    pub fn derive(
+        &self,
+        u: &Natural,
+        sibling: &Natural,
+        cap_limbs: usize,
+    ) -> Result<Reciprocal, RecipError> {
+        if u.is_zero() || sibling.is_zero() {
+            return Err(RecipError::ZeroModulus);
+        }
+        let t = u.bit_len();
+        let product_bits = t + sibling.bit_len();
+        if self.n_bits + 1 != product_bits && self.n_bits != product_bits {
+            return Err(RecipError::ModulusMismatch {
+                expected_bits: self.n_bits,
+                found_bits: product_bits,
+            });
+        }
+        let m = u.limb_len();
+        let cap = cap_limbs.max(m + 1);
+        let Some(mut mu) = derive_mu(&self.mu, self.cap, sibling, cap) else {
+            return Reciprocal::with_capacity(u, cap);
+        };
+        // floor(2^e/u) has e - t + 1 bits (e - t + 2 for a power of two);
+        // one ulp of slack can leave e - t bits when it is exactly the
+        // minimal 2^(e-t), and clamping up to that floor is sound, as in
+        // `invert_newton`.
+        let e = 64 * cap as u64;
+        let bits = mu.bit_len();
+        if bits < e - t || bits > e - t + 2 {
+            return Err(RecipError::MalformedParts {
+                detail: "derived mu magnitude impossible for this modulus",
+            });
+        }
+        if bits == e - t {
+            mu = pow2(e - t);
+        }
+        Ok(Reciprocal {
+            mu,
+            m,
+            cap,
+            n_bits: t,
         })
     }
 
@@ -399,16 +549,29 @@ impl Reciprocal {
         out.extend_from_slice(&x[..k.min(x.len())]);
         out.resize(k, 0);
         let r2 = &t2[..k.min(t2.len())];
-        let _wrap = sub_assign_slice(out, r2);
+        let wrap = sub_assign_slice(out, r2);
+        // The low limbs are the remainder only if the high limbs cancel:
+        // `x - q_hat*n` must lie in `[0, beta^k)`. The bound guarantees it
+        // for any reciprocal built or derived here; checking it costs
+        // O(cap) limb compares beside two multiplies, and makes a damaged
+        // `mu` (persisted, or derived from a damaged parent) fall back to
+        // exact division instead of returning a wrong remainder.
+        let x_high = high_limb_slice(x, k);
+        let t_high = high_limb_slice(&t2, k);
+        let cancels = if wrap == 0 {
+            cmp_slices(x_high, t_high) == Ordering::Equal
+        } else {
+            is_successor(x_high, t_high)
+        };
         crate::arena::put(t1);
         crate::arena::put(t2);
+        if !cancels {
+            return exact_rem_into(x, n, out);
+        }
         let mut corrections = 0u32;
         while cmp_slices(out, n.limbs()) != Ordering::Less {
             if corrections == MAX_BARRETT_CORRECTIONS {
-                let r = Natural::from_limb_slice(x).div_rem(n).1;
-                let old = core::mem::replace(out, r.into_limbs());
-                crate::arena::put(old);
-                return;
+                return exact_rem_into(x, n, out);
             }
             let borrow = sub_assign_slice(out, n.limbs());
             debug_assert_eq!(borrow, 0);
@@ -532,7 +695,13 @@ mod tests {
     /// and must sit within MU_MAX_SLACK_ULPS below it.
     fn check_mu_slack(n: &Natural, cap: usize) {
         let r = Reciprocal::with_capacity(n, cap).unwrap();
-        let exact = &pow2(64 * r.cap_limbs() as u64) / n;
+        check_recip_slack(&r, n, u64::from(MU_MAX_SLACK_ULPS));
+    }
+
+    /// `r.mu()` lies in `[floor(beta^cap/n) - max_ulps, floor(beta^cap/n)]`.
+    fn check_recip_slack(r: &Reciprocal, n: &Natural, max_ulps: u64) {
+        let cap = r.cap_limbs();
+        let exact = &pow2(64 * cap as u64) / n;
         let slack = exact.checked_sub(r.mu()).unwrap_or_else(|| {
             panic!(
                 "mu over-estimates the reciprocal for n={} limbs cap={cap}",
@@ -540,10 +709,8 @@ mod tests {
             )
         });
         assert!(
-            slack
-                .to_u64()
-                .is_some_and(|s| s <= u64::from(MU_MAX_SLACK_ULPS)),
-            "mu slack beyond bound for n={} limbs cap={cap}",
+            slack.to_u64().is_some_and(|s| s <= max_ulps),
+            "mu slack beyond {max_ulps} ulps for n={} limbs cap={cap}",
             n.limb_len()
         );
     }
@@ -760,6 +927,301 @@ mod tests {
             Reciprocal::from_parts(r.mu().clone(), r.cap_limbs(), &Natural::zero()),
             Err(RecipError::ZeroModulus)
         ));
+    }
+
+    fn odd(mut n: Natural) -> Natural {
+        n.set_bit(0, true);
+        n
+    }
+
+    /// `pseudo(len)` with its top limb replaced by `top` (nonzero).
+    fn with_top(len: usize, seed: u64, top: u64) -> Natural {
+        let mut limbs = pseudo(len, seed).limbs().to_vec();
+        if let Some(t) = limbs.last_mut() {
+            *t = top;
+        }
+        Natural::from_limbs(limbs)
+    }
+
+    /// Remainders of a spread of dividends below `v` (the values a tree
+    /// node's two reductions see): through `r` and by division, equal.
+    fn check_barrett_below(r: &Reciprocal, u: &Natural, v: &Natural, seed: u64) {
+        let mut xs = vec![v - &Natural::one(), u.clone(), u - &Natural::one()];
+        for k in 0..6u64 {
+            let x = &pseudo(v.limb_len(), seed.wrapping_add(k)) % v;
+            xs.push(x);
+        }
+        for x in &xs {
+            assert_eq!(
+                x.barrett_rem(u, r).unwrap(),
+                x.div_rem(u).1,
+                "u={} limbs v={} limbs",
+                u.limb_len(),
+                v.limb_len()
+            );
+        }
+    }
+
+    /// A tree-shaped derivation: `v = u * s` under `gp = v * w`, the
+    /// parent's reciprocal Newton-built at capacity `limb_len(gp)`, the
+    /// child's derived at `limb_len(v)` and then chained one level further
+    /// down through a split of `u`. Every derived `mu` must take the
+    /// derivation path, stay within one ulp of exact, and reduce exactly.
+    fn check_tree_derivation(u: &Natural, s: &Natural, w: &Natural, seed: u64) {
+        let v = u * s;
+        let gp = &v * w;
+        let parent = Reciprocal::with_capacity(&v, gp.limb_len()).unwrap();
+        let cap = v.limb_len();
+        assert!(
+            derive_mu(parent.mu(), parent.cap_limbs(), s, cap).is_some(),
+            "balanced shape fell back to Newton"
+        );
+        let child = parent.derive(u, s, cap).unwrap();
+        assert_eq!(child.cap_limbs(), cap.max(u.limb_len() + 1));
+        check_recip_slack(&child, u, 1);
+        check_barrett_below(&child, u, &v, seed);
+
+        // One more level: u = a * b, the reciprocal of a derived from the
+        // derived one — the error must not grow. Under a sibling `s`
+        // narrower than `b` the bound fails and the leaf is Newton-built.
+        if u.limb_len() >= 4 {
+            let half = u.limb_len() / 2;
+            let a = with_top(half, seed ^ 0x55, pseudo(1, seed).low_limb() | 1 << 63);
+            let b = odd(pseudo(u.limb_len() - half, seed ^ 0xaa));
+            let u2 = &a * &b;
+            let v2 = &u2 * s;
+            let parent2 = Reciprocal::with_capacity(&v2, (&v2 * w).limb_len()).unwrap();
+            let mid = parent2.derive(&u2, s, v2.limb_len()).unwrap();
+            let leaf = mid.derive(&a, &b, u2.limb_len()).unwrap();
+            let derived = derive_mu(mid.mu(), mid.cap_limbs(), &b, leaf.cap_limbs()).is_some();
+            let bound = if derived {
+                1
+            } else {
+                u64::from(MU_MAX_SLACK_ULPS)
+            };
+            check_recip_slack(&leaf, &a, bound);
+            check_barrett_below(&leaf, &a, &u2, seed);
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Balanced and lopsided random trees, Newton-sized (over eight
+        /// limbs) and direct-division-sized parents alike.
+        #[test]
+        fn derive_is_one_sided_within_one_ulp(
+            u_len in 2usize..40,
+            s_len in 1usize..40,
+            seed in 0u64..100_000,
+        ) {
+            let u = odd(pseudo(u_len, seed));
+            let s = odd(pseudo(s_len, seed ^ 0x1234));
+            // The uncle is at least as wide as the parent, as in a
+            // balanced tree (siblings of equal width one level up).
+            let w = pseudo(u_len + s_len, seed ^ 0x9999);
+            check_tree_derivation(&u, &s, &w, seed);
+        }
+
+        /// A damaged parent `mu` — bits flipped, limbs overwritten, scaled
+        /// up or down — never yields a wrong remainder: the derivation is a
+        /// typed error, or its reciprocal still reduces exactly (the Barrett
+        /// step falls back to division when the bound breaks).
+        #[test]
+        fn damaged_parent_never_gives_a_wrong_remainder(
+            u_len in 2usize..24,
+            s_len in 2usize..24,
+            seed in 0u64..100_000,
+            damage in 0usize..6,
+        ) {
+            let u = odd(pseudo(u_len, seed));
+            let s = odd(pseudo(s_len, seed ^ 0x77));
+            let v = &u * &s;
+            let gp = &v * &pseudo(u_len + s_len, seed ^ 0x3);
+            let good = Reciprocal::with_capacity(&v, gp.limb_len()).unwrap();
+            let mu = good.mu();
+            let bit = seed % mu.bit_len();
+            let mut flipped = mu.clone();
+            flipped.set_bit(bit, !mu.bit(bit));
+            let damaged_mu = match damage {
+                0 => flipped,
+                1 => mu + &pow2(64 * (seed % mu.limb_len() as u64)),
+                2 => mu.shl_bits(1),
+                3 => mu >> 1,
+                4 => {
+                    let noise = pseudo(mu.limb_len(), seed ^ 0xdead);
+                    let limbs = mu.limbs().iter().zip(noise.limbs()).map(|(a, b)| a ^ b);
+                    Natural::from_limbs(limbs.collect())
+                }
+                _ => Natural::one(),
+            };
+            let damaged = Reciprocal { mu: damaged_mu, ..good.clone() };
+            let cap = v.limb_len();
+            if let Ok(child) = damaged.derive(&u, &s, cap) {
+                check_barrett_below(&child, &u, &v, seed);
+            }
+            // The damaged reciprocal applied directly reduces exactly too.
+            for k in 0..4u64 {
+                let x = &pseudo(gp.limb_len(), seed + k) % &gp;
+                prop_assert_eq!(x.barrett_rem(&v, &damaged).unwrap(), x.div_rem(&v).1);
+            }
+        }
+    }
+
+    #[test]
+    fn derive_near_power_of_two_stays_in_magnitude_window() {
+        // u just below a power of two: floor(beta^cap/u) is the minimal
+        // 2^(e-t) (or a hair above), so one ulp of slack would leave mu a
+        // bit short of its window; the clamp keeps it inside, and
+        // `from_parts` accepts the result.
+        for (len, s_len, seed) in [(9usize, 4usize, 1u64), (20, 9, 2), (33, 33, 3), (12, 1, 4)] {
+            for below in [1u64, 2, 1 << 32] {
+                let u = &pow2(64 * len as u64) - &Natural::from(below);
+                let s = odd(pseudo(s_len, seed));
+                let w = pseudo(len + s_len, seed ^ 7);
+                check_tree_derivation(&u, &s, &w, seed);
+                let v = &u * &s;
+                let parent = Reciprocal::with_capacity(&v, (&v * &w).limb_len()).unwrap();
+                let child = parent.derive(&u, &s, v.limb_len()).unwrap();
+                let back = Reciprocal::from_parts(child.mu().clone(), child.cap_limbs(), &u);
+                assert_eq!(back.as_ref(), Ok(&child));
+            }
+        }
+    }
+
+    #[test]
+    fn derive_when_the_product_loses_a_limb() {
+        // limb_len(v) = limb_len(u) + limb_len(s) - 1: small top limbs keep
+        // the product from carrying into a new limb, so the child's
+        // capacity is one limb tighter than the operand widths suggest.
+        for (u_len, s_len, seed) in [
+            (10usize, 10usize, 1u64),
+            (24, 7, 2),
+            (16, 2, 3),
+            (40, 39, 4),
+        ] {
+            let u = with_top(u_len, seed, 3);
+            let s = with_top(s_len, seed ^ 5, 5);
+            let v = &u * &s;
+            assert_eq!(v.limb_len(), u_len + s_len - 1);
+            let w = pseudo(u_len + s_len, seed ^ 11);
+            check_tree_derivation(&u, &s, &w, seed);
+        }
+    }
+
+    #[test]
+    fn short_siblings_take_the_newton_fallback() {
+        // A 1-3-limb sibling under a parent whose capacity exceeds the
+        // child's by no more than the sibling's width (the uncle is just as
+        // short): the derivation bound fails, and derive must return
+        // exactly the Newton-built reciprocal.
+        for s_len in 1usize..=3 {
+            for (u_len, seed) in [(12usize, 1u64), (30, 2), (64, 3)] {
+                let u = odd(pseudo(u_len, seed));
+                let s = with_top(s_len, seed ^ 9, u64::MAX - seed);
+                let w = with_top(s_len, seed ^ 13, u64::MAX - 1);
+                let v = &u * &s;
+                let gp = &v * &w;
+                let parent = Reciprocal::with_capacity(&v, gp.limb_len()).unwrap();
+                let cap = v.limb_len();
+                assert!(derive_mu(parent.mu(), parent.cap_limbs(), &s, cap).is_none());
+                let child = parent.derive(&u, &s, cap).unwrap();
+                assert_eq!(child, Reciprocal::with_capacity(&u, cap).unwrap());
+                check_barrett_below(&child, &u, &v, seed);
+            }
+        }
+    }
+
+    #[test]
+    fn derive_misuse_is_typed_error() {
+        let u = pseudo(10, 1);
+        let s = pseudo(10, 2);
+        let v = &u * &s;
+        let parent = Reciprocal::new(&v).unwrap();
+        assert_eq!(
+            parent.derive(&Natural::zero(), &s, 20),
+            Err(RecipError::ZeroModulus)
+        );
+        assert_eq!(
+            parent.derive(&u, &Natural::zero(), 20),
+            Err(RecipError::ZeroModulus)
+        );
+        // A sibling that cannot multiply u up to the parent's width.
+        assert!(matches!(
+            parent.derive(&u, &pseudo(3, 4), 20),
+            Err(RecipError::ModulusMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn barrett_rejects_overestimating_mu() {
+        // An over-estimating mu drives x - q_hat*n negative; before the
+        // high-limb check, the low limbs alone could wrap into a
+        // plausible-looking wrong remainder.
+        let n = pseudo(12, 21);
+        let good = Reciprocal::new(&n).unwrap();
+        for extra in [1u64, 2, 1 << 40] {
+            let bad = Reciprocal {
+                mu: good.mu() + &Natural::from(extra),
+                ..good.clone()
+            };
+            for seed in 0..8 {
+                let x = pseudo(24, seed);
+                assert_eq!(x.barrett_rem(&n, &bad).unwrap(), x.div_rem(&n).1);
+            }
+        }
+    }
+
+    #[test]
+    fn barrett_rejects_a_quotient_that_wraps_to_a_plausible_remainder() {
+        // The worst damaged mu: q_hat = q + j with j*n = 1 (mod beta^(m+1)),
+        // so x - q_hat*n is negative but its low m + 1 limbs read r - 1, a
+        // value below n that the correction loop would accept. Only the
+        // high-limb check catches it.
+        for seed in 1..6u64 {
+            let n = odd(pseudo(2, seed));
+            let good = Reciprocal::new(&n).unwrap();
+            let (m, cap) = (good.modulus_limbs(), good.cap_limbs());
+            let x = pseudo(cap, seed + 40);
+            let (q, r) = x.div_rem(&n);
+            if r.is_zero() {
+                continue;
+            }
+            // j = n^-1 mod beta^(m+1), by Hensel lifting (n odd).
+            let bits = 64 * (m as u64 + 1);
+            let mut j = n.clone();
+            for _ in 0..8 {
+                let mut t = &n * &j;
+                t.keep_low_bits(bits);
+                let mut two_minus = &(&pow2(bits) + &Natural::from(2u64)) - &t;
+                two_minus.keep_low_bits(bits);
+                j = &j * &two_minus;
+                j.keep_low_bits(bits);
+            }
+            let mut check = &n * &j;
+            check.keep_low_bits(bits);
+            assert!(check.is_one());
+            // mu = ceil((q + j) * beta^(cap-m+1) / a), a = x / beta^(m-1),
+            // makes the step's quotient estimate exactly q + j.
+            let a = &x >> (64 * (m as u64 - 1));
+            let target = (&q + &j).shl_bits(64 * (cap - m + 1) as u64);
+            let mu = &(&(&target + &a) - &Natural::one()) / &a;
+            let bad = Reciprocal { mu, ..good.clone() };
+            assert_eq!(x.barrett_rem(&n, &bad).unwrap(), r, "seed={seed}");
+        }
+    }
+
+    #[test]
+    fn successor_check() {
+        assert!(is_successor(&[1], &[]));
+        assert!(is_successor(&[0, 1], &[u64::MAX]));
+        assert!(is_successor(&[0, 0, 1, 0], &[u64::MAX, u64::MAX]));
+        assert!(is_successor(&[5, 7], &[4, 7, 0]));
+        assert!(!is_successor(&[5, 7], &[5, 7]));
+        assert!(!is_successor(&[0], &[u64::MAX]));
+        assert!(!is_successor(&[], &[]));
     }
 
     #[test]
